@@ -16,8 +16,9 @@ Three questions, one per section:
    host under the GIL, CPU-bound construction does not speed up — the
    row exists to record the honest number, not to flatter it.)
 
-Decode caches are cleared before each measured run so page touches
-reflect the read path itself, not residue from a previous measurement.
+Decode and live-set caches are cleared before each measured run so
+page touches reflect the read path itself, not residue from a previous
+measurement.
 """
 
 import pytest
@@ -54,8 +55,11 @@ class _UnbatchedReader:
 
 
 def _cold(db):
-    """Clear decode caches so pins measure the read path, not residue."""
+    """Clear the decode and live-set caches so pins measure the store
+    read path, not residue (current-knowledge slices of atoms written
+    since open are otherwise answered from the live sets)."""
     db.engine._decode_cache.clear()
+    db.engine._live_sets.clear()
     db.engine._type_names.clear()
 
 

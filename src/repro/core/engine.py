@@ -26,7 +26,11 @@ with its shared-read / exclusive-write latch.  The buffer pool and disk
 manager below are internally locked; everything between them and this
 class is read-pure on the read paths, except the decoded-version cache,
 which carries its own lock (and the type-name map, whose updates are
-single-dict operations, atomic under the GIL).
+single-dict operations, atomic under the GIL).  Readers also read the
+live-set cache (``_live_sets``), under the shared latch and without a
+lock of their own: only mutations, which hold the exclusive latch,
+populate, repair or drop it, so no reader ever sees a live set
+mid-repair.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -214,6 +219,68 @@ class DecodedVersionCache:
             return len(self._entries)
 
 
+class PushdownPredicate:
+    """Conjunctive root comparisons compiled for evaluation below decode.
+
+    Mirrors the single-atom semantics of the evaluator's ``_satisfies``
+    exactly (NULL literals, NULL values, TypeError on incomparable
+    values), so pushing it below decode can only drop versions the
+    evaluator would have dropped anyway.  Calling it judges a raw
+    type-prefixed payload inside the store; :meth:`matches` judges the
+    decoded values of a cached version.  Both share one copy of the
+    comparison logic, and both pass atoms of other types.
+    """
+
+    __slots__ = ("_codec", "_type_id", "_type_name", "_attrs", "_checks")
+
+    def __init__(self, codec: VersionCodec, type_id: int, type_name: str,
+                 comparisons: Tuple[Tuple[str, str, Any], ...]) -> None:
+        self._codec = codec
+        self._type_id = type_id
+        self._type_name = type_name
+        self._attrs = tuple(dict.fromkeys(attr for attr, _, _ in comparisons))
+        self._checks = tuple((attr, _PUSHDOWN_OPS[op], literal)
+                             for attr, op, literal in comparisons)
+
+    def __call__(self, payload: bytes) -> bool:
+        (tid,) = _TYPE_PREFIX.unpack_from(payload, 0)
+        if tid != self._type_id:
+            return True  # not the pushdown type: never judged here
+        try:
+            values = self._codec.peek(self._type_name, payload, self._attrs,
+                                      offset=_TYPE_PREFIX.size)
+        except (SerializationError, struct.error, KeyError, IndexError):
+            return True  # undecodable: let the full path decide
+        return self._holds(values)
+
+    def matches(self, type_name: str, values: Mapping[str, Any]) -> bool:
+        if type_name != self._type_name:
+            return True
+        return self._holds(values)
+
+    def _holds(self, values: Mapping[str, Any]) -> bool:
+        for attr, op, literal in self._checks:
+            value = values.get(attr)
+            if literal is None:
+                if op is operator.eq:
+                    if value is not None:
+                        return False
+                elif op is operator.ne:
+                    if value is None:
+                        return False
+                else:
+                    return False  # ordering against NULL never holds
+                continue
+            if value is None:
+                return False
+            try:
+                if not op(value, literal):
+                    return False
+            except TypeError:
+                return False
+        return True
+
+
 class StorageEngine:
     """Logical operations over one version store."""
 
@@ -238,16 +305,21 @@ class StorageEngine:
         self._c_mutations = self.metrics.counter("engine.mutations")
         self._decode_cache = DecodedVersionCache(decode_cache_bytes,
                                                  self.metrics)
-        # The live-set cache: atom id -> {seq: decoded live Version}.
+        # The live-set cache: atom id -> (type name, {seq: decoded live
+        # Version}).
         # Revision planning only reads live versions, and _apply_plan
         # knows exactly how a plan changes the live set, so after one
         # cold read_live an atom's updates plan against this map with no
         # store reads at all — update cost stays O(live) no matter how
-        # long the closed history grows.  Dropped (not repaired) on
-        # undo and external store rewrites via invalidate_atom_caches.
-        self._live_sets: Dict[int, Dict[int, Version]] = {}
+        # long the closed history grows.  Current-knowledge slices read
+        # it too (version_at_many), but only writes populate it.
+        # Dropped (not repaired) on undo and external store rewrites
+        # via invalidate_atom_caches.
+        self._live_sets: Dict[int, Tuple[str, Dict[int, Version]]] = {}
         self._c_live_hits = self.metrics.counter("engine.live_set.hits")
         self._c_live_misses = self.metrics.counter("engine.live_set.misses")
+        self._c_pushdown_skipped = self.metrics.counter(
+            "engine.pushdown.skipped")
         # Monotone replay watermark: recovery/replication skip logged
         # operations at or below this LSN, making re-replay of an
         # overlapping committed range a no-op (see txn.recovery).
@@ -346,21 +418,11 @@ class StorageEngine:
     def version_at(self, atom_id: int, at: Timestamp,
                    tt: Optional[Timestamp] = None) -> Optional[Version]:
         """The version valid at *at* as believed at *tt* (None = now)."""
-        self._c_version_reads.inc()
-        if not self.store.exists(atom_id):
-            return None
-        if tt is None:
-            hits = self.store.read_at(atom_id, at)
-            if not hits:
-                return None
-            self._c_versions_scanned.inc(len(hits))
-            seq, stored = hits[0]
-            return self._decode_cached(atom_id, seq, stored)[1]
-        return hist.version_at(self.all_versions(atom_id), at, tt)
+        return self.version_at_many((atom_id,), at, tt)[atom_id]
 
     def version_at_many(self, atom_ids: Iterable[int], at: Timestamp,
                         tt: Optional[Timestamp] = None,
-                        pred: Optional[Callable[[bytes], bool]] = None,
+                        pred: Optional[PushdownPredicate] = None,
                         projection: Optional[Dict[str, Tuple[Any,
                                                              Tuple[str, ...],
                                                              bool]]] = None
@@ -368,17 +430,23 @@ class StorageEngine:
         """Batched :meth:`version_at`: one result per distinct atom id.
 
         Unknown atoms map to ``None``, exactly as ``version_at`` returns
-        ``None`` for them.  The batch goes through the store's
-        set-oriented read path, so directory and record pages shared by
-        several atoms are pinned once for the whole call.
+        ``None`` for them.
+
+        At current knowledge (*tt* is ``None``) an atom whose live set
+        is cached is answered from it: the live version containing *at*
+        is exactly what a store ``read_at`` would return.  The remaining
+        atoms go through the store's set-oriented read path in one
+        batch, so directory and record pages shared by several atoms are
+        pinned once for the whole call.
 
         *pred* / *projection* come from :meth:`compile_pushdown`: the
-        predicate is evaluated by the store on raw payloads, so atoms
-        whose version at *at* fails it come back as ``None`` without
-        ever being decoded; the projection makes the survivors decode
-        only the attributes the query reads.  Both apply only on the
-        current-knowledge path — the planner never pushes below an
-        ``AS OF`` query.
+        predicate is evaluated by the store on raw payloads (or on the
+        decoded values of a live-set hit), so atoms whose version at
+        *at* fails it come back as ``None`` without ever being decoded;
+        the projection makes store reads decode only the attributes the
+        query reads (a live-set hit returns the full version, a
+        superset).  Both apply only on the current-knowledge path — the
+        planner never pushes below an ``AS OF`` query.
         """
         ids = list(dict.fromkeys(atom_ids))
         result: Dict[int, Optional[Version]] = {}
@@ -392,13 +460,16 @@ class StorageEngine:
                 result[atom_id] = (None if versions is None
                                    else hist.version_at(versions, at, tt))
             return result
+        misses = self._live_versions_at(ids, at, pred, result)
+        if not misses:
+            return result
         if pred is None:
             # Keep the two-argument call for stores implementing only
             # the original protocol (test doubles, external backends).
-            hits_by_atom = self.store.read_at_many(ids, at)
+            hits_by_atom = self.store.read_at_many(misses, at)
         else:
-            hits_by_atom = self.store.read_at_many(ids, at, pred)
-        for atom_id in ids:
+            hits_by_atom = self.store.read_at_many(misses, at, pred)
+        for atom_id in misses:
             hits = hits_by_atom.get(atom_id)
             if not hits:
                 result[atom_id] = None
@@ -408,6 +479,40 @@ class StorageEngine:
             result[atom_id] = self._decode_cached(atom_id, seq, stored,
                                                   projection)[1]
         return result
+
+    def _live_versions_at(self, ids: List[int], at: Timestamp,
+                          pred: Optional[PushdownPredicate],
+                          result: Dict[int, Optional[Version]]
+                          ) -> List[int]:
+        """Answer the *ids* with a cached live set into *result*; return
+        the rest, in input order, for the store."""
+        live_sets = self._live_sets
+        misses: List[int] = []
+        hits = scanned = skipped = 0
+        for atom_id in ids:
+            cached = live_sets.get(atom_id)
+            if cached is None:
+                misses.append(atom_id)
+                continue
+            hits += 1
+            type_name, live = cached
+            found: Optional[Version] = None
+            for version in live.values():
+                if version.vt.start <= at < version.vt.end:
+                    found = version
+                    break
+            if (found is not None and pred is not None
+                    and not pred.matches(type_name, found.values)):
+                skipped += 1
+                found = None
+            if found is not None:
+                scanned += 1
+            result[atom_id] = found
+        self._c_live_hits.inc(hits)
+        self._c_live_misses.inc(len(misses))
+        self._c_versions_scanned.inc(scanned)
+        self._c_pushdown_skipped.inc(skipped)
+        return misses
 
     def all_versions(self, atom_id: int) -> List[Version]:
         if not self.store.exists(atom_id):
@@ -428,17 +533,18 @@ class StorageEngine:
         cached = self._live_sets.get(atom_id)
         if cached is not None:
             self._c_live_hits.inc()
-            return sorted(cached.items())
+            return sorted(cached[1].items())
         if not self.store.exists(atom_id):
             raise UnknownAtomError(f"no atom {atom_id}")
         self._c_live_misses.inc()
         pairs = [(seq, self._decode_cached(atom_id, seq, sv)[1])
                  for seq, sv in self.store.read_live(atom_id)]
         self._c_versions_scanned.inc(len(pairs))
-        self._remember_live(atom_id, dict(pairs))
+        self._remember_live(atom_id, self.atom_type_name(atom_id),
+                            dict(pairs))
         return pairs
 
-    def _remember_live(self, atom_id: int,
+    def _remember_live(self, atom_id: int, type_name: str,
                        live: Dict[int, Version]) -> None:
         cache = self._live_sets
         if len(cache) >= _LIVE_SETS_MAX_ATOMS and atom_id not in cache:
@@ -446,7 +552,7 @@ class StorageEngine:
             # (bulk loads touching millions of atoms); hot write sets
             # are far smaller and re-enter on their next touch.
             cache.pop(next(iter(cache)))
-        cache[atom_id] = live
+        cache[atom_id] = (type_name, live)
 
     def all_versions_many(self, atom_ids: Iterable[int],
                           pred: Optional[Callable[[bytes], bool]] = None
@@ -499,15 +605,15 @@ class StorageEngine:
     # ------------------------------------------------------------------
 
     def compile_pushdown(self, spec) -> Tuple[
-            Optional[Callable[[bytes], bool]],
+            Optional[PushdownPredicate],
             Optional[Dict[str, Tuple[Any, Tuple[str, ...], bool]]]]:
         """Compile a planner ``PushdownSpec`` against this schema.
 
         Returns ``(pred, projection)``:
 
-        * *pred* — a callable over raw type-prefixed payloads, or
-          ``None``.  It is a **necessary condition** for the version to
-          survive the query's WHERE (the evaluator still re-filters),
+        * *pred* — a :class:`PushdownPredicate`, or ``None``.  It is a
+          **necessary condition** for the version to survive the
+          query's WHERE (the evaluator still re-filters),
           tuned to say "keep" on anything it cannot cheaply judge:
           foreign type ids and undecodable payloads all pass.
         * *projection* — type name -> ``(cols key, attrs, need_refs)``
@@ -517,8 +623,9 @@ class StorageEngine:
         """
         pred = None
         if spec.comparisons:
-            pred = self._compile_payload_predicate(spec.type_name,
-                                                   spec.comparisons)
+            pred = PushdownPredicate(
+                self.codec, self.schema.atom_type(spec.type_name).type_id,
+                spec.type_name, spec.comparisons)
         projection: Optional[Dict[str, Tuple[Any, Tuple[str, ...],
                                              bool]]] = None
         if spec.projection is not None:
@@ -536,57 +643,6 @@ class StorageEngine:
             if not projection:
                 projection = None
         return pred, projection
-
-    def _compile_payload_predicate(
-            self, type_name: str,
-            comparisons: Tuple[Tuple[str, str, Any], ...]
-    ) -> Callable[[bytes], bool]:
-        """A raw-payload evaluator for conjunctive root comparisons.
-
-        Mirrors the single-atom semantics of the evaluator's
-        ``_satisfies`` exactly (NULL literals, NULL values, TypeError
-        on incomparable values), so pushing it below decode can only
-        drop versions the evaluator would have dropped anyway.
-        """
-        type_id = self.schema.atom_type(type_name).type_id
-        attrs = tuple(dict.fromkeys(attr for attr, _, _ in comparisons))
-        checks = tuple((attr, _PUSHDOWN_OPS[op], literal)
-                       for attr, op, literal in comparisons)
-        codec = self.codec
-        prefix_size = _TYPE_PREFIX.size
-
-        def pred(payload: bytes) -> bool:
-            (tid,) = _TYPE_PREFIX.unpack_from(payload, 0)
-            if tid != type_id:
-                return True  # not the pushdown type: never judged here
-            try:
-                values = codec.peek(type_name, payload, attrs,
-                                    offset=prefix_size)
-            except (SerializationError, struct.error,
-                    KeyError, IndexError):
-                return True  # undecodable: let the full path decide
-            for attr, op, literal in checks:
-                value = values.get(attr)
-                if literal is None:
-                    if op is operator.eq:
-                        if value is not None:
-                            return False
-                    elif op is operator.ne:
-                        if value is None:
-                            return False
-                    else:
-                        return False  # ordering against NULL never holds
-                    continue
-                if value is None:
-                    return False
-                try:
-                    if not op(value, literal):
-                        return False
-                except TypeError:
-                    return False
-            return True
-
-        return pred
 
     def prune_roots(self, atom_ids: Iterable[int],
                     pred: Callable[[bytes], bool]) -> List[int]:
@@ -628,7 +684,7 @@ class StorageEngine:
         # Claimed (not read) until the plan lands: any exception leaves
         # the cache empty for this atom and the next touch rebuilds it
         # from the store.
-        prior_live = self._live_sets.pop(atom_id, None)
+        prior = self._live_sets.pop(atom_id, None)
         replacements = plan.closures + plan.rewrites
         if replacements:
             originals = store.read_versions(
@@ -657,7 +713,8 @@ class StorageEngine:
             undos.append(lambda: self.indexes.unregister_atom(type_id,
                                                               atom_id))
         self.invalidate_atom_caches(atom_id)
-        if prior_live is not None:
+        if prior is not None:
+            prior_live = prior[1]
             # The plan states exactly how the live set changed, so the
             # cache is repaired in place instead of rebuilt: closures
             # leave the live set, rewrites stay only while still live
@@ -672,7 +729,7 @@ class StorageEngine:
             for offset, version in enumerate(plan.appends):
                 if version.live:
                     prior_live[append_base + offset] = version
-            self._remember_live(atom_id, prior_live)
+            self._remember_live(atom_id, type_name, prior_live)
 
     def _index_version(self, type_name: str, atom_id: int,
                        version: Version) -> None:
@@ -914,13 +971,19 @@ class StorageEngine:
     # Index-assisted candidate selection (used by the planner)
     # ------------------------------------------------------------------
 
+    def has_attribute_index(self, type_name: str,
+                            attribute_name: str) -> bool:
+        """Whether ``type.attr`` has an attribute index (no probe)."""
+        return self.indexes.has_index(
+            attribute_index_name(type_name, attribute_name))
+
     def candidates_for_equality(self, type_name: str, attribute_name: str,
                                 value: Any) -> Optional[List[int]]:
         """Atom candidates for ``type.attr = value``, or ``None`` when no
         index exists.  Candidates must be rechecked at the queried time."""
-        index_name = attribute_index_name(type_name, attribute_name)
-        if not self.indexes.has_index(index_name):
+        if not self.has_attribute_index(type_name, attribute_name):
             return None
+        index_name = attribute_index_name(type_name, attribute_name)
         attribute = self.schema.atom_type(type_name).attribute(attribute_name)
         key, _lossy = attribute.data_type.encode_key(value)
         return self.indexes.candidate_atoms_eq(index_name, key)

@@ -14,6 +14,7 @@ symmetric back-reference explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, FrozenSet, Mapping
 
 from repro.temporal import FOREVER, Interval
@@ -38,12 +39,27 @@ def split_ref_key(key: str) -> tuple[str, str]:
 
 @dataclass(frozen=True, slots=True)
 class Version:
-    """One immutable bitemporal state of an atom."""
+    """One immutable bitemporal state of an atom.
+
+    ``values`` and ``refs`` are read-only views over private copies of
+    the mappings passed in: decoded versions are shared by the decode
+    cache, the live-set cache and every query result that returns them,
+    so a caller writing into one must fail rather than silently change
+    what the next reader (or the next write plan) sees.
+    """
 
     vt: Interval
     tt: Interval
     values: Mapping[str, Any] = field(default_factory=dict)
     refs: Mapping[str, FrozenSet[int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if type(self.values) is not MappingProxyType:
+            object.__setattr__(self, "values",
+                               MappingProxyType(dict(self.values)))
+        if type(self.refs) is not MappingProxyType:
+            object.__setattr__(self, "refs", MappingProxyType(
+                {k: frozenset(v) for k, v in self.refs.items()}))
 
     @property
     def live(self) -> bool:
@@ -65,8 +81,7 @@ class Version:
 
     def with_state(self, values: Mapping[str, Any],
                    refs: Mapping[str, FrozenSet[int]]) -> "Version":
-        return replace(self, values=dict(values),
-                       refs={k: frozenset(v) for k, v in refs.items()})
+        return replace(self, values=values, refs=refs)
 
     def same_state_as(self, other: "Version") -> bool:
         """Equal attribute values and reference sets (times ignored)."""

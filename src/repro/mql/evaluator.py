@@ -160,10 +160,11 @@ def _execute(db, query_plan: QueryPlan, tracer) -> QueryResult:
         if analyzed.query.diff is not None:
             entries = _evaluate_diff(db, analyzed, roots, tracer)
             top.set("entries", len(entries))
-            # DIFF rows are event records, not molecules: always
-            # projected, never WHEN-filtered (the window *is* the tt
-            # range) and never value-projected.
-            return QueryResult(entries, query_plan.describe(), True)
+            # DIFF rows are event records, not molecules: never
+            # WHEN-filtered (the window *is* the tt range) and never
+            # value-projected.
+            return QueryResult(entries, query_plan.describe(),
+                               _is_projected(analyzed))
         valid = analyzed.valid
         if isinstance(valid, (ValidAt, ValidAtNow)):
             # "NOW" in valid time means the current, open-ended state: the
@@ -197,7 +198,14 @@ def _execute(db, query_plan: QueryPlan, tracer) -> QueryResult:
             span.set("entries", len(entries))
         top.set("entries", len(entries))
     return QueryResult(entries, query_plan.describe(),
-                       isinstance(analyzed.query.select, SelectPaths))
+                       _is_projected(analyzed))
+
+
+def _is_projected(analyzed: AnalyzedQuery) -> bool:
+    """Whether the query's entries are rows rather than molecules: DIFF
+    change records always are, slices and windows under SELECT paths."""
+    return (analyzed.query.diff is not None
+            or isinstance(analyzed.query.select, SelectPaths))
 
 
 #: Liberalized relation groups for the WHEN clause: each named relation

@@ -387,9 +387,9 @@ def plan(analyzed: AnalyzedQuery, engine: StorageEngine) -> QueryPlan:
             continue
         if comparison.literal.value is None:
             continue
-        candidates = engine.candidates_for_equality(
-            root, comparison.path.attribute, comparison.literal.value)
-        if candidates is not None:
+        # Only the index's existence is decided here; the evaluator
+        # runs the probe itself, once per execution.
+        if engine.has_attribute_index(root, comparison.path.attribute):
             return QueryPlan(analyzed, IndexLookup(
                 root, comparison.path.attribute, comparison.literal.value),
                 pushdown)

@@ -26,6 +26,8 @@ Execution shape per temporal clause:
 * ``VALID DURING`` / ``VALID HISTORY`` — per-root ``build_history``
   (one root's history is the natural unit; the existential
   ``prune_roots`` pushdown still drops non-qualifying roots first).
+* ``DIFF ... BETWEEN t1 AND t2`` — the eager ``_evaluate_diff`` over
+  root batches; its change rows are chunked like any other entries.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import EvaluationError
 from repro.mql.ast_nodes import (
-    SelectPaths,
     ValidAt,
     ValidAtNow,
     ValidDuring,
@@ -42,14 +43,17 @@ from repro.mql.ast_nodes import (
 )
 from repro.mql.evaluator import (
     _compile,
+    _evaluate_diff,
     _evaluate_slice,
     _filter_when,
+    _is_projected,
     _project,
     _root_candidates,
     _satisfies,
 )
 from repro.mql.planner import plan
 from repro.mql.result import ResultEntry
+from repro.obs import NULL_TRACER
 from repro.temporal import FOREVER, TMIN, Interval
 
 #: Default entries per chunk.  Chosen so a chunk of typical molecules
@@ -118,7 +122,7 @@ def execute_query_stream(db, text: str,
         analyzed = _compile(db, text, params)
         query_plan = plan(analyzed, db.engine)
         roots = _root_candidates(db, query_plan)
-    projected = isinstance(analyzed.query.select, SelectPaths)
+    projected = _is_projected(analyzed)
     chunks = _produce(db, query_plan, roots, chunk_entries, root_batch)
     return StreamingResult(query_plan.describe(), projected,
                            chunk_entries, chunks)
@@ -126,9 +130,26 @@ def execute_query_stream(db, text: str,
 
 def _produce(db, query_plan, roots: List[int], chunk_entries: int,
              root_batch: int) -> Iterator[List[ResultEntry]]:
+    buffer: List[ResultEntry] = []
+    for entries in _batches(db, query_plan, roots, root_batch):
+        buffer.extend(entries)
+        while len(buffer) >= chunk_entries:
+            yield buffer[:chunk_entries]
+            del buffer[:chunk_entries]
+    while buffer:
+        yield buffer[:chunk_entries]
+        del buffer[:chunk_entries]
+
+
+def _batches(db, query_plan, roots: List[int],
+             root_batch: int) -> Iterator[List[ResultEntry]]:
+    """Final entries in eager order, one batch per read-latch hold.
+
+    Each batch is computed under the read latch and yielded after it is
+    released, so a suspended consumer never blocks writers.
+    """
     analyzed = query_plan.analyzed
     valid = analyzed.valid
-    buffer: List[ResultEntry] = []
 
     def finish_batch(entries: List[ResultEntry]) -> List[ResultEntry]:
         if analyzed.query.when is not None:
@@ -141,7 +162,16 @@ def _produce(db, query_plan, roots: List[int], chunk_entries: int,
             return db.engine.compile_pushdown(query_plan.pushdown)
         return None, None
 
-    if isinstance(valid, (ValidAt, ValidAtNow)):
+    if analyzed.query.diff is not None:
+        # DIFF rows come out per root in root order, so root batches
+        # concatenate to the eager row list.
+        for start in range(0, len(roots), root_batch):
+            with db._read_view():
+                entries = _evaluate_diff(
+                    db, analyzed, roots[start:start + root_batch],
+                    NULL_TRACER)
+            yield entries
+    elif isinstance(valid, (ValidAt, ValidAtNow)):
         at = valid.at if isinstance(valid, ValidAt) else FOREVER - 1
         for start in range(0, len(roots), root_batch):
             batch = roots[start:start + root_batch]
@@ -149,10 +179,7 @@ def _produce(db, query_plan, roots: List[int], chunk_entries: int,
                 pred, projection = compiled_pushdown()
                 entries = finish_batch(_evaluate_slice(
                     db, analyzed, batch, at, pred, projection))
-            buffer.extend(entries)
-            while len(buffer) >= chunk_entries:
-                yield buffer[:chunk_entries]
-                del buffer[:chunk_entries]
+            yield entries
     elif isinstance(valid, (ValidDuring, ValidHistory)):
         window = (Interval(valid.start, valid.end)
                   if isinstance(valid, ValidDuring)
@@ -171,12 +198,6 @@ def _produce(db, query_plan, roots: List[int], chunk_entries: int,
                         entries.append(
                             ResultEntry(root_id, span, molecule, None))
                 entries = finish_batch(entries)
-            buffer.extend(entries)
-            while len(buffer) >= chunk_entries:
-                yield buffer[:chunk_entries]
-                del buffer[:chunk_entries]
+            yield entries
     else:  # pragma: no cover - parser produces no other clause
         raise EvaluationError(f"unknown temporal clause {valid!r}")
-    while buffer:
-        yield buffer[:chunk_entries]
-        del buffer[:chunk_entries]

@@ -242,6 +242,81 @@ class TestDifferentialUnderConcurrency:
         db.close()
 
 
+class TestLiveSetReadsUnderWrites:
+    def test_current_slices_never_see_half_an_operation(self, tmp_path,
+                                                        cad_schema):
+        """Current-knowledge slices are served from the live-set cache,
+        which every mutation repairs in place under the exclusive latch.
+
+        A writer toggles links (one operation rewrites both partners'
+        live sets) and aborts cost updates (undo drops the live set) while
+        readers slice both sides under the shared latch: every read must
+        see the link from both partners or from neither.
+        """
+        import sys
+        db = TemporalDatabase.create(
+            str(tmp_path / "db"), cad_schema,
+            DatabaseConfig(buffer_pages=64, durability="none"))
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "p", "cost": 0.0},
+                              valid_from=0)
+            comps = [txn.insert("Component", {"cname": f"c{i}"},
+                                valid_from=0) for i in range(4)]
+        ids = [part] + comps
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            linked = set()
+            n = 0
+            while not stop.is_set():
+                comp = comps[n % len(comps)]
+                try:
+                    with db.transaction() as txn:
+                        if comp in linked:
+                            txn.unlink("contains", part, comp, valid_from=0)
+                            linked.discard(comp)
+                        else:
+                            txn.link("contains", part, comp, valid_from=0)
+                            linked.add(comp)
+                    txn = db.begin()
+                    txn.update(part, {"cost": float(n)}, valid_from=0)
+                    txn.abort()
+                except Exception as exc:  # surfaced by the assertion below
+                    errors.append(exc)
+                    return
+                n += 1
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    with db._read_view():
+                        got = db.engine.version_at_many(ids, 5)
+                    out = got[part].targets("contains")
+                    for comp in comps:
+                        back = got[comp].targets("contains", "in")
+                        assert (comp in out) == (part in back), (comp, out)
+                except Exception as exc:
+                    errors.append(exc)
+                    return
+
+        threads = ([threading.Thread(target=writer, name="writer")]
+                   + [threading.Thread(target=reader, name=f"reader-{i}")
+                      for i in range(4)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _start(threads)
+            time.sleep(1.5)
+            stop.set()
+            _join_all(threads)
+        finally:
+            sys.setswitchinterval(interval)
+            db.close()
+        assert not errors, errors[:3]
+        assert db.metrics.value("engine.live_set.hits") > 0
+
+
 class TestGroupCommit:
     def test_concurrent_commits_share_fsyncs(self, tmp_path, cad_schema,
                                              monkeypatch):

@@ -1,4 +1,4 @@
-"""The write path's live-version machinery.
+"""The live-version machinery of the write and read paths.
 
 Mutation planning only ever reads transaction-time-open versions, so the
 stores expose ``read_live``/``read_versions`` and the engine keeps a
@@ -6,14 +6,19 @@ per-atom live-set cache that ``_apply_plan`` repairs in place.  These
 tests pin the store contracts, prove the cache never drifts from store
 truth under mixed operations (including undo), and guard the headline
 property: update cost no longer scans the closed history.
+
+Current-knowledge time slices are answered from the same cache; a
+differential oracle holds them equal to the store path at every
+valid-time boundary, with and without pushed-down predicates and
+projections, after undo, after vacuum, and after reopen.
 """
 
 import random
 
 import pytest
 
-from repro.errors import StorageError
-from repro.storage.strategies import StoredVersion
+from repro.errors import StorageError, TemporalUpdateError
+from repro.mql.planner import PushdownSpec
 from repro.temporal import FOREVER
 
 
@@ -154,6 +159,233 @@ class TestLiveSetCache:
         db = TemporalDatabase.open(path)
         assert db.engine.live_pairs(1) == expected
         db.close()
+
+
+def _random_history(engine, rng, parts=5, components=3, ops=70):
+    """Mixed random mutations on Parts and Components; returns the ids
+    and the next free transaction time."""
+    part_ids = list(range(1, parts + 1))
+    comp_ids = list(range(parts + 1, parts + components + 1))
+    for atom_id in part_ids:
+        insert(engine, atom_id, vf=rng.randrange(0, 20), tt=0,
+               cost=float(rng.randrange(100)), name=f"p{atom_id}")
+    for atom_id in comp_ids:
+        engine.insert("Component", {"cname": f"c{atom_id}"},
+                      rng.randrange(0, 20), FOREVER, 0, atom_id)
+    tt = 1
+    for _ in range(ops):
+        atom_id = rng.choice(part_ids)
+        start = rng.randrange(0, 100)
+        op = rng.randrange(6)
+        try:
+            if op == 0:
+                undos = engine.update(atom_id, {"cost": float(tt)}, start,
+                                      tt)
+            elif op == 1:
+                undos = engine.delete(atom_id, start, tt,
+                                      valid_to=start + rng.randrange(1, 15))
+            elif op == 2:
+                undos = engine.correct(atom_id, start, start + 10,
+                                       {"cost": None}, tt)
+            elif op == 3:
+                undos = engine.link("contains", atom_id,
+                                    rng.choice(comp_ids), start, tt)
+            elif op == 4:
+                undos = engine.unlink("contains", atom_id,
+                                      rng.choice(comp_ids), start, tt)
+            else:
+                undos = engine.update(rng.choice(comp_ids),
+                                      {"weight": float(tt)}, start, tt)
+        except TemporalUpdateError:  # no validity or link in the window
+            undos = []
+        if undos and rng.random() < 0.15:
+            for undo in reversed(undos):
+                undo()
+        tt += 1
+    return part_ids + comp_ids, tt
+
+
+def _boundaries(engine, ids):
+    """Every valid-time boundary instant of the atoms, and its
+    predecessor."""
+    instants = {0, FOREVER - 1}
+    for atom_id in ids:
+        for version in engine.all_versions(atom_id):
+            for edge in (version.vt.start, version.vt.end):
+                instants.update(t for t in (edge - 1, edge)
+                                if 0 <= t < FOREVER)
+    return sorted(instants)
+
+
+def _warm(engine, ids):
+    """Repopulate the live sets the way the write path does."""
+    for atom_id in ids:
+        if engine.atom_exists(atom_id):
+            engine.live_pairs(atom_id)
+
+
+def _counts(engine):
+    return tuple(engine.metrics.value(name) for name in (
+        "engine.live_set.hits", "engine.versions_scanned",
+        "engine.pushdown.skipped"))
+
+
+def _slices(engine, ids, instants, pred=None, projection=None):
+    before = _counts(engine)
+    answers = {at: engine.version_at_many(ids, at, pred=pred,
+                                          projection=projection)
+               for at in instants}
+    after = _counts(engine)
+    return answers, tuple(b - a for a, b in zip(before, after))
+
+
+class TestLiveSetSlices:
+    """Warm ``version_at_many`` (live-set hits) equals the store path."""
+
+    UNKNOWN = 999
+
+    def _check(self, engine, ids, pred=None, projection=None):
+        batch = ids + [self.UNKNOWN]
+        instants = _boundaries(engine, ids)
+        _warm(engine, ids)
+        warm, warm_counts = _slices(engine, batch, instants, pred,
+                                    projection)
+        for atom_id in ids:
+            engine.invalidate_atom_caches(atom_id)
+        cold, cold_counts = _slices(engine, batch, instants, pred,
+                                    projection)
+        live = sum(1 for atom_id in ids if engine.atom_exists(atom_id))
+        assert warm_counts[0] == live * len(instants)
+        assert cold_counts[0] == 0
+        # versions_scanned and pushdown.skipped mean the same either way
+        assert warm_counts[1:] == cold_counts[1:]
+        _warm(engine, ids)
+        return warm, cold
+
+    def _check_exact(self, engine, ids, pred=None):
+        warm, cold = self._check(engine, ids, pred)
+        assert warm == cold
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_plain_slices(self, engine, seed):
+        ids, _ = _random_history(engine, random.Random(seed))
+        self._check_exact(engine, ids)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_pushed_predicate_passes_other_types(self, engine, seed):
+        ids, _ = _random_history(engine, random.Random(seed))
+        for comparisons in ((("cost", "GT", 40.0),),
+                            (("cost", "EQ", None),),
+                            (("cost", "NE", None), ("cost", "LE", 70.0))):
+            pred, _ = engine.compile_pushdown(
+                PushdownSpec("Part", comparisons))
+            warm, cold = self._check(engine, ids, pred)
+            assert warm == cold
+            # Components are never judged by a Part predicate.
+            components = [atom_id for atom_id in ids
+                          if engine.atom_type_name(atom_id) == "Component"]
+            assert any(answers[atom_id] is not None
+                       for answers in warm.values()
+                       for atom_id in components)
+
+    def test_projection_returns_a_superset(self, engine):
+        ids, _ = _random_history(engine, random.Random(5))
+        _, projection = engine.compile_pushdown(PushdownSpec(
+            "Part", (), (("Part", ("name",), True),
+                         ("Component", ("cname",), False))))
+        assert projection is not None
+        full, _ = self._check(engine, ids)
+        warm, cold = self._check(engine, ids, projection=projection)
+        assert warm == full
+        for at, answers in cold.items():
+            for atom_id, projected in answers.items():
+                whole = warm[at][atom_id]
+                if projected is None:
+                    assert whole is None
+                    continue
+                assert (whole.vt, whole.tt) == (projected.vt, projected.tt)
+                assert dict(projected.values).items() <= \
+                    dict(whole.values).items()
+                if engine.atom_type_name(atom_id) == "Part":
+                    assert projected.refs == whole.refs
+
+    def test_after_undo(self, engine):
+        ids, tt = _random_history(engine, random.Random(6))
+        _warm(engine, ids)
+        undos = engine.update(ids[0], {"cost": -1.0}, 0, tt)
+        undos += engine.link("contains", ids[1], ids[-1], 0, tt + 1)
+        for undo in reversed(undos):
+            undo()
+        self._check_exact(engine, ids)
+
+    def test_after_vacuum(self, db, engine):
+        from repro.tools.vacuum import vacuum_superseded
+        ids, tt = _random_history(engine, random.Random(7))
+        _warm(engine, ids)
+        report = vacuum_superseded(db, tt // 2)
+        assert report.versions_removed > 0
+        # Vacuum renumbers sequences; writes planned on the live sets
+        # afterwards must still land on the right versions.
+        for offset, atom_id in enumerate(ids):
+            try:
+                engine.update(atom_id, {"cost": -2.0} if atom_id <= 5
+                              else {"weight": -2.0}, 30, tt + offset)
+            except TemporalUpdateError:  # no validity left from 30 on
+                pass
+        self._check_exact(engine, ids)
+
+    def test_after_reopen_cold_path(self, tmp_path, cad_schema, strategy):
+        from repro import DatabaseConfig, TemporalDatabase
+        path = str(tmp_path / "reopen")
+        db = TemporalDatabase.create(
+            path, cad_schema,
+            DatabaseConfig(strategy=strategy, buffer_pages=64))
+        ids, _ = _random_history(db.engine, random.Random(8))
+        instants = _boundaries(db.engine, ids)
+        _warm(db.engine, ids)
+        warm, _ = _slices(db.engine, ids, instants)
+        db.checkpoint()
+        db.close()
+        db = TemporalDatabase.open(path)
+        try:
+            cold, counts = _slices(db.engine, ids, instants)
+            assert counts[0] == 0  # nothing written since open
+            assert warm == cold
+        finally:
+            db.close()
+
+
+class TestResultAliasing:
+    def test_mutating_a_result_cannot_reach_the_store(self, tmp_path,
+                                                      cad_schema,
+                                                      strategy):
+        """Query results share decoded versions with the engine caches,
+        so they must be read-only: a reader writing into one used to
+        leak the write into the next update's plan."""
+        from repro import DatabaseConfig, TemporalDatabase
+        path = str(tmp_path / "alias")
+        db = TemporalDatabase.create(path, cad_schema,
+                                     DatabaseConfig(strategy=strategy))
+        with db.transaction() as txn:
+            part = txn.insert("Part", {"name": "wheel", "cost": 1.0},
+                              valid_from=0)
+        db.close()
+        db = TemporalDatabase.open(path)
+        (entry,) = db.query("SELECT ALL FROM Part VALID AT 5").entries
+        with pytest.raises(TypeError):
+            entry.molecule.root.version.values["name"] = "X"
+        with pytest.raises(TypeError):
+            entry.molecule.root.version.refs["contains.out"] = frozenset()
+        with db.transaction() as txn:
+            txn.update(part, {"cost": 2.0}, valid_from=0)
+        db.close()
+        db = TemporalDatabase.open(path)
+        try:
+            version = db.engine.version_at(part, 5)
+            assert dict(version.values) == {"name": "wheel", "cost": 2.0,
+                                             "released": None}
+        finally:
+            db.close()
 
 
 class TestWalSeekIndex:

@@ -62,6 +62,22 @@ class TestReuse:
         assert names(first) == names(second) == ["seat", "wheel"]
 
 
+class TestIndexedPointQuery:
+    def test_one_index_probe_per_execution(self, stocked):
+        """Planning only checks that the index exists; the evaluator's
+        candidate scan is the single probe."""
+        db = stocked
+        db.create_attribute_index("Part", "name")
+        text = "SELECT ALL FROM Part WHERE Part.name = 'frame' VALID AT 5"
+        for _ in range(2):  # cold plan cache, then warm
+            before = db.metrics.value("index.probes")
+            result = db.query(text)
+            assert db.metrics.value("index.probes") - before == 1
+            assert "index(" in result.plan
+            assert [e.molecule.root.version.values["name"]
+                    for e in result.entries] == ["frame"]
+
+
 class TestParameters:
     TEXT = "SELECT ALL FROM Part WHERE Part.cost > $limit VALID AT 5"
 

@@ -53,6 +53,42 @@ def _key(entry):
     return (entry.root_id, entry.valid.start, entry.valid.end)
 
 
+DIFF_QUERIES = [
+    "DIFF Part BETWEEN 0 AND 2",
+    "DIFF Part.contains.Component BETWEEN 0 AND 2",
+    "DIFF Part BETWEEN 0 AND 2 WHERE Part.cost > 40",
+]
+
+
+class TestDiffStream:
+    """DIFF rows stream exactly as the eager evaluator returns them."""
+
+    @pytest.mark.parametrize("text", DIFF_QUERIES)
+    @pytest.mark.parametrize("chunk_entries", [1, 4, 128])
+    def test_stream_equals_eager(self, stocked, text, chunk_entries):
+        eager = execute_query(stocked, text)
+        assert eager.entries and eager.projected
+        stream = execute_query_stream(stocked, text,
+                                      chunk_entries=chunk_entries,
+                                      root_batch=4)
+        streamed = list(stream.entries())
+        assert stream.projected
+        assert [(_key(e), e.row) for e in streamed] == \
+            [(_key(e), e.row) for e in eager.entries]
+        assert all(e.molecule is None for e in streamed)
+
+    def test_over_the_wire(self, stocked):
+        from repro.server import DatabaseClient, DatabaseServer
+        text = DIFF_QUERIES[1]
+        with DatabaseServer(stocked) as server:
+            with DatabaseClient(server.host, server.port) as client:
+                eager = client.query(text)
+                cursor = client.query_stream(text, chunk_entries=3)
+                streamed = [e for chunk in cursor.chunks() for e in chunk]
+                assert cursor.projected
+        assert eager["entries"] and streamed == eager["entries"]
+
+
 class TestDifferential:
     @pytest.mark.parametrize("text", QUERIES)
     @pytest.mark.parametrize("chunk_entries", [1, 3, 128])
